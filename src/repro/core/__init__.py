@@ -3,7 +3,10 @@
 * :mod:`repro.core.baseline` — Algorithm 1, the serial peeling baseline
   (**Base**).
 * :mod:`repro.core.hindex` — ℋ(·) aggregation and the h-hop bottleneck
-  path-key dataflow (the dataflow rendering of Algorithm 3).
+  path-key dataflow (the dataflow rendering of Algorithm 3; off the
+  decomposition path, kept as a dataflow reference for the kernel).
+* :mod:`repro.core.kernel` — Algorithm 3 as a fixed-index numpy kernel
+  over dense ids, the per-sweep work of the parallel variants.
 * :mod:`repro.core.paral` — Algorithm 2's iterate-until-convergence
   framework with the Section 4.3 optimizations (**Paral / Single /
   Asyn / Paral+**).
@@ -11,4 +14,4 @@
 """
 from .api import decompose  # noqa: F401
 from .baseline import INF, baseline_decompose  # noqa: F401
-from .paral import DecomposeResult, parallel_decompose  # noqa: F401
+from .paral import DecomposeResult, SweepLimitExceeded, parallel_decompose  # noqa: F401

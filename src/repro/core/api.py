@@ -6,10 +6,10 @@
 variant   meaning (paper Section 5.1)
 ========  =====================================================
 base      Algorithm 1 serial peeling (driver-side Python)
-single    Paral dataflow at parallelism 1 (the 1-thread run)
+single    Paral on one edge slice (the 1-thread run)
 paral     synchronous parallel framework (Algorithm 2)
-asyn      Paral + asynchronous (chromatic) update
-paral+    Asyn + Lemma-4 frontier pruning (all optimizations)
+asyn      Paral + asynchronous update (4 chromatic blocks)
+paral+    Paral + Lemma-4 frontier pruning (synchronous sweeps)
 ========  =====================================================
 
 Every variant returns a :class:`repro.core.paral.DecomposeResult` whose
@@ -52,15 +52,12 @@ def decompose(
     if variant == "single":
         kwargs["parallelism"] = 1
     elif variant == "asyn":
-        kwargs["asynchronous"] = True  # 4 chromatic blocks (default)
+        kwargs["asynchronous"] = True
     elif variant == "paral+":
-        # Wall-clock config of "all optimizations" under BSP: frontier
-        # pruning (Lemma 4) on synchronous sweeps. The asynchronous
-        # optimization is chromatic blocks here, and each extra block is
-        # an extra dataflow round per sweep — on a BSP engine the round
-        # overhead exceeds the sweep reduction it buys, so Paral+ keeps
-        # one block and Asyn (4 blocks) carries the iteration-count
-        # experiment of Figure 6. Deviation documented in DESIGN.md §3.
+        # The paper's Paral+ is Asyn plus pruning. Each chromatic block is
+        # an extra Spark job per sweep, so Paral+ prunes synchronous
+        # sweeps and Asyn alone carries the iteration-count experiment of
+        # Figure 6. Deviation documented in DESIGN.md §3.
         kwargs.update(pruning=True)
     return parallel_decompose(spark, edges, h, **kwargs)
 

@@ -1,10 +1,11 @@
 """ℋ(·) and h-hop reachable path keys as Spark SQL dataflow.
 
-These are the two kernels of Algorithm 3. The per-edge BFS of the
-paper's pseudocode becomes set-at-a-time dataflow: one bottleneck-path
-dynamic program shared by *all* sources at once (instead of one BFS per
-edge endpoint), and one window aggregation computing every edge's
-H-index in a single shuffle.
+These are the two kernels of Algorithm 3 as dataflow; the decomposition
+itself runs them as :mod:`repro.core.kernel`, and this rendering stays as
+its reference. The per-edge BFS of the paper's pseudocode becomes
+set-at-a-time dataflow: one bottleneck-path dynamic program shared by
+*all* sources at once (instead of one BFS per edge endpoint), and one
+window aggregation computing every edge's H-index in a single shuffle.
 """
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
@@ -38,8 +39,7 @@ def path_keys(adj_val: DataFrame, h: int, sources: DataFrame | None = None) -> D
     (join one more hop, keep the max) are exact.
 
     ``sources`` (a one-column DataFrame ``a``) restricts the DP to the
-    given source vertices — the hook the Paral+ frontier pruning uses to
-    skip work for converged regions.
+    given source vertices.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")

@@ -6,50 +6,50 @@ One function, four paper variants (DESIGN.md §3):
   sweeps; every sweep recomputes ``H^(n)`` for all edges from the
   ``H^(n-1)`` snapshot until nothing changes (Theorems 1-2 guarantee
   monotone convergence to ``t(e,h) - 2``).
-* **Single**  — ``parallelism=1``: identical dataflow, one partition /
-  one shuffle partition, so exactly one task runs at a time — the paper's
-  one-thread configuration.
-* **Asyn**    — ``asynchronous=True``: 2-block chromatic (Gauss–Seidel)
-  sweeps; the low-initial-support half updates first, the second half
-  reads its *fresh* values within the same sweep (substitution 2 —
-  the BSP rendering of the paper's asynchronous update; §4.1 proves any
-  such mixed schedule still converges to the same fixpoint).
-* **Paral+**  — ``asynchronous=True, pruning=True``: adds the Lemma-4
-  redundant-computation pruning as frontier pruning: an edge is
-  recomputed only if some edge value decreased last sweep within its
-  h-hop influence zone; the path-key DP is likewise restricted to the
-  frontier's sources (substitution 3 — a conservative superset of the
-  lemma's trigger set, so results are unchanged). The frontier itself is
-  expanded driver-side (a BFS over the in-memory adjacency — the edge
-  list is small; the *per-edge support work* is what needs the cluster),
-  and when it still covers most of the graph the restriction is bypassed
-  so early sweeps don't pay restriction-join overhead for zero savings.
+* **Single**  — ``parallelism=1``: the same code on one edge slice, so
+  exactly one task runs at a time — the paper's one-thread
+  configuration.
+* **Asyn**    — ``asynchronous=True``: 4-block chromatic (Gauss–Seidel)
+  sweeps; the edges are split into quartiles of initial h-support,
+  updated in ascending order, and each block reads the *fresh* values
+  of the blocks before it in the same sweep (substitution 2 — the BSP
+  rendering of the paper's asynchronous update; §4.1 proves any such
+  mixed schedule still converges to the same fixpoint).
+* **Paral+**  — ``pruning=True`` (what ``decompose(variant="paral+")``
+  runs): synchronous sweeps plus the Lemma-4 redundant-computation
+  pruning as a frontier: an edge is recomputed only if some edge within
+  its h-hop influence zone dropped in the previous sweep (substitution
+  3 — a conservative superset of the lemma's trigger set, so results are
+  unchanged).
 
-The heavy relations (adjacency, h-hop pairs, Δ-triads) live in Spark and
-every sweep's support recomputation is pure DataFrame dataflow. The
-*iteration state*, however — one ``(eid, hval)`` pair per edge — is tiny,
-so each sweep round-trips it through the driver and re-enters the next
-sweep as a fresh Arrow-backed local relation. This is deliberate and
-load-bearing: chaining sweeps through ``localCheckpoint`` makes
-Catalyst's size-only stats estimator multiply the checkpoint's inherited
-``sizeInBytes`` through every join, the estimates compound exponentially
-across sweeps, and by sweep ~13 the driver stalls for minutes in
-million-digit ``BigInt`` multiplications. A local relation re-enters with
-exact, tiny stats every sweep, and the convergence test becomes a free
-pandas comparison instead of an extra Spark job.
+The graph relations (canonical edges, h-hop pairs, Δ-triads) are built
+once in Spark and collected into the fixed-index structure of
+:mod:`repro.core.kernel`, cut into ``p`` edge slices (the per-thread
+slices of Alg. 2) held in one persisted RDD. A block update is one Spark
+job: the H vector goes out as a broadcast, each slice runs the numpy
+kernel and returns the new values of its edges, and the driver applies
+them. Between jobs the whole iteration state is one int32 vector on the
+driver, so convergence and the pruning frontier are numpy operations.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+from pyspark import cloudpickle
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.graph.edges import adjacency_df, edges_df
+from repro.graph.edges import edges_df
 from repro.graph.hops import hop_pairs_df
-from repro.graph.triads import h_support_df, triads_df
+from repro.graph.triads import triads_df
 
-from .hindex import h_index_agg, path_keys
+from . import kernel
+
+# Workers import nothing from this package (a driver may have added
+# ``src/`` to ``sys.path`` only for itself), so the kernel the block
+# updates run travels inside each pickled task.
+cloudpickle.register_pickle_by_value(kernel)
+
+ASYN_BLOCKS = 4
 
 
 @dataclass
@@ -63,6 +63,19 @@ class DecomposeResult:
     trace: list[pd.DataFrame] = field(default_factory=list)
 
 
+class SweepLimitExceeded(RuntimeError):
+    """``max_sweeps`` sweeps ran and H values were still dropping.
+
+    ``sweeps`` is the number of sweeps run; ``state`` is the H vector
+    after the last of them, as a pandas ``(src, dst, hval)`` frame.
+    """
+
+    def __init__(self, sweeps: int, state: pd.DataFrame):
+        super().__init__(f"parallel decomposition did not converge in {sweeps} sweeps")
+        self.sweeps = sweeps
+        self.state = state
+
+
 def parallel_decompose(
     spark: SparkSession,
     edges,
@@ -73,10 +86,15 @@ def parallel_decompose(
     parallelism: int | None = None,
     trace: bool = False,
     max_sweeps: int = 10_000,
-    n_blocks: int = 4,
 ) -> DecomposeResult:
     """Compute the h-trussness of every edge (columns
-    ``src, dst, trussness``) with the selected variant."""
+    ``src, dst, trussness``) with the selected variant.
+
+    ``parallelism`` sets the number of edge slices and shuffle
+    partitions (default: ``defaultParallelism`` slices). Raises
+    :class:`SweepLimitExceeded` when ``max_sweeps`` sweeps do not reach
+    the fixpoint.
+    """
     restore = None
     if parallelism is not None:
         restore = spark.conf.get("spark.sql.shuffle.partitions")
@@ -91,178 +109,89 @@ def parallel_decompose(
             parallelism=parallelism,
             trace=trace,
             max_sweeps=max_sweeps,
-            n_blocks=n_blocks,
         )
     finally:
         if restore is not None:
             spark.conf.set("spark.sql.shuffle.partitions", restore)
 
 
-def _state_df(spark: SparkSession, eids, hvals) -> DataFrame:
-    """Fresh local-relation snapshot of the iteration state."""
-    pdf = pd.DataFrame({"eid": np.asarray(eids, dtype=np.int64),
-                        "hval": np.asarray(hvals, dtype=np.int64)})
-    return spark.createDataFrame(pdf, schema="eid long, hval long")
+def _run(spark, edges, h, *, asynchronous, pruning, parallelism, trace, max_sweeps):
+    sc = spark.sparkContext
+    persisted = []
+    try:
+        e = edges_df(spark, edges)
+        if parallelism is not None:
+            e = e.repartition(parallelism)
+        persisted.append(e.persist())
+        edge_cols = _columns(e, "src", "dst")
+        if not len(edge_cols[0]):
+            empty = spark.createDataFrame([], schema="src long, dst long, trussness long")
+            return DecomposeResult(empty, 0)
+        hops = hop_pairs_df(e, h)
+        persisted.append(hops.persist())
+        g = kernel.build(
+            edge_cols,
+            _columns(hops, "a", "b", "dist"),
+            _columns(triads_df(e, hops), "src", "dst", "w"),
+            h,
+        )
+        p = parallelism or sc.defaultParallelism
+        parts = sc.parallelize(kernel.slices(g, p), p)
+        persisted.append(parts.persist())
+        return _iterate(spark, g, parts, h, asynchronous=asynchronous,
+                        pruning=pruning, trace=trace, max_sweeps=max_sweeps)
+    finally:
+        for cached in persisted:
+            cached.unpersist()
 
 
-def _eids_df(spark: SparkSession, eids) -> DataFrame:
-    return spark.createDataFrame(
-        pd.DataFrame({"eid": np.asarray(eids, dtype=np.int64)}),
-        schema="eid long",
-    )
+def _columns(df: DataFrame, *names: str) -> list[np.ndarray]:
+    """Collect columns as one numpy array each."""
+    pdf = df.select(*names).toPandas()
+    return [pdf[c].to_numpy() for c in names]
 
 
-def _run(spark, edges, h, *, asynchronous, pruning, parallelism, trace,
-         max_sweeps, n_blocks):
-    e = edges_df(spark, edges)
-    if parallelism is not None:
-        e = e.repartition(parallelism)
-    e = e.persist()
-    if not e.take(1):
-        empty = e.select("src", "dst", F.lit(2).alias("trussness"))
-        return DecomposeResult(empty, 0)
+def _iterate(spark, g, parts, h, *, asynchronous, pruning, trace, max_sweeps):
+    """Lines 4-10 of Algorithm 2 from ``H^(0)`` = h-support."""
+    sc = spark.sparkContext
+    update = kernel.update
 
-    adj = adjacency_df(e).persist()
-    hops = hop_pairs_df(e, h).persist()
-    triads = triads_df(e, hops).persist()
-    triads.count()
+    def run_block(H, target):
+        bc = sc.broadcast((H, target))
+        try:
+            out = parts.map(lambda sl: update(sl, *bc.value)).collect()
+        finally:
+            bc.destroy()
+        return np.concatenate([o[0] for o in out]), np.concatenate([o[1] for o in out])
 
-    # Lines 1-3: H^(0) = h-support. The state lives in pandas between
-    # sweeps (eid-indexed Series), in Spark within a sweep.
-    sup_pdf = (
-        h_support_df(e, hops).toPandas().sort_values("eid").reset_index(drop=True)
-    )
-    state = sup_pdf.set_index("eid")["support"].astype("int64")
-
-    # Asynchronous (chromatic) schedule: quantile blocks processed in
-    # ascending initial-support order, so decreases propagate in peeling
-    # order within a sweep — later blocks read earlier blocks' fresh
-    # values, the BSP rendering of the shared-memory asynchronous update.
+    H = g["support"].copy()
+    blocks = [None]
     if asynchronous:
-        order = np.argsort(state.values, kind="stable")
-        block_eids = [
-            state.index.to_numpy()[part]
-            for part in np.array_split(order, max(1, n_blocks))
-            if len(part)
-        ]
-    else:
-        block_eids = [None]  # one full-coverage block
+        # Quantile blocks in ascending initial-support order, so drops
+        # propagate in peeling order within a sweep.
+        edge_ids = np.arange(len(H))
+        quantiles = np.array_split(np.argsort(H, kind="stable"), ASYN_BLOCKS)
+        blocks = [np.isin(edge_ids, q) for q in quantiles if len(q)]
 
-    # Driver-side structures for the pruning frontier: adjacency of the
-    # (small) edge list and per-edge endpoint arrays aligned with `state`.
-    if pruning:
-        adj_py: dict[int, list[int]] = {}
-        for s, d in zip(sup_pdf["src"].to_numpy(), sup_pdf["dst"].to_numpy()):
-            adj_py.setdefault(int(s), []).append(int(d))
-            adj_py.setdefault(int(d), []).append(int(s))
-        eid_arr = state.index.to_numpy()
-        src_arr = (eid_arr >> 32).astype(np.int64)
-        dst_arr = (eid_arr & 0xFFFFFFFF).astype(np.int64)
-
-    changed_vertices = None  # ndarray of endpoints that dropped last sweep
-    traces = []
-    if trace:
-        traces.append(_trace_frame(sup_pdf, state))
-
-    sweeps = 0
-    for _ in range(max_sweeps):
-        changed_total = 0
-        new_changed = []
-        active_eids = None  # None = no pruning restriction this sweep
-        if pruning and changed_vertices is not None:
-            # Frontier: vertices within h hops of a changed endpoint.
-            # Expanded here on the driver — BFS over a <=100k-edge
-            # adjacency is microseconds-to-milliseconds, far below the
-            # cost of one extra Spark join. Restriction is applied only
-            # when it actually shrinks the sweep (adaptive bypass).
-            frontier = set(int(v) for v in changed_vertices)
-            layer = frontier
-            for _hop in range(h):
-                layer = {
-                    w for v in layer for w in adj_py.get(v, ()) if w not in frontier
-                }
-                frontier |= layer
-            fr = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
-            mask = np.isin(src_arr, fr) | np.isin(dst_arr, fr)
-            if mask.sum() < 0.5 * len(eid_arr):
-                active_eids = eid_arr[mask]
-
-        for eids in block_eids:
-            if eids is not None and active_eids is not None:
-                eids = np.intersect1d(eids, active_eids)
-                if not len(eids):
-                    continue
-            elif eids is None and active_eids is not None:
-                eids = active_eids
-            full = eids is None
-            # Target edge set for this block update, as dataflow.
-            target = e.select("eid", "src", "dst")
-            if eids is not None:
-                target = target.join(_eids_df(spark, eids), on="eid")
-
-            hcur = _state_df(spark, state.index, state.values)
-            adj_val = adj.join(hcur, on="eid").select("a", "b", "hval")
-            if full:
-                sources = None  # every vertex is a source anyway
-                block_triads = triads
-            else:
-                sources = (
-                    target.select(F.col("src").alias("a"))
-                    .unionByName(target.select(F.col("dst").alias("a")))
-                    .distinct()
-                )
-                block_triads = triads.join(target.select("eid"), on="eid")
-            p = path_keys(adj_val, h, sources=sources)
-            vals = (
-                block_triads.join(
-                    p.select(F.col("a").alias("src"), "w", F.col("pkey").alias("p_src")),
-                    on=["src", "w"],
-                )
-                .join(
-                    p.select(F.col("a").alias("dst"), "w", F.col("pkey").alias("p_dst")),
-                    on=["dst", "w"],
-                )
-                .select("eid", F.least("p_src", "p_dst").alias("value"))
-            )
-            hnew = (
-                target.select("eid")
-                .join(h_index_agg(vals), on="eid", how="left")
-                .select("eid", F.coalesce("hindex", F.lit(0)).alias("hval_new"))
-            )
-            upd = hnew.toPandas().set_index("eid")["hval_new"].astype("int64")
-
-            old = state.loc[upd.index]
-            dropped = upd.index[(upd < old).to_numpy()]
-            changed_total += len(dropped)
-            state.loc[upd.index] = upd
-            if pruning and len(dropped):
-                arr = dropped.to_numpy()
-                new_changed.append(arr >> 32)
-                new_changed.append(arr & 0xFFFFFFFF)
-        sweeps += 1
+    traces = [_frame(g, H)] if trace else []
+    active = None
+    for sweeps in range(1, max_sweeps + 1):
+        dropped = kernel.sweep(H, run_block, blocks, active)
         if trace:
-            traces.append(_trace_frame(sup_pdf, state))
-        if pruning:
-            changed_vertices = (
-                np.unique(np.concatenate(new_changed))
-                if new_changed
-                else np.empty(0, dtype=np.int64)
-            )
-        if changed_total == 0:
+            traces.append(_frame(g, H))
+        if not len(dropped):
             break
-    else:  # pragma: no cover - safety net
-        raise RuntimeError("parallel decomposition did not converge")
+        if pruning:
+            active = kernel.frontier(g, dropped, h)
+    else:
+        raise SweepLimitExceeded(max_sweeps, _frame(g, H))
 
-    out = sup_pdf[["src", "dst"]].copy()
-    out["trussness"] = (state.loc[sup_pdf["eid"]].to_numpy() + 2).astype("int64")
+    out = pd.DataFrame({"src": g["src"], "dst": g["dst"],
+                        "trussness": H.astype(np.int64) + 2})
     result = spark.createDataFrame(out, schema="src long, dst long, trussness long")
-    for df in (e, adj, hops, triads):
-        df.unpersist()
     return DecomposeResult(result, sweeps, traces)
 
 
-def _trace_frame(sup_pdf: pd.DataFrame, state: pd.Series) -> pd.DataFrame:
-    """Per-edge H values of the current sweep (trace mode, Figure 3)."""
-    frame = sup_pdf[["src", "dst"]].copy()
-    frame["hval"] = state.loc[sup_pdf["eid"]].to_numpy()
-    return frame.sort_values(["src", "dst"]).reset_index(drop=True)
+def _frame(g: dict, H: np.ndarray) -> pd.DataFrame:
+    """Per-edge H values, sorted by ``(src, dst)`` (trace mode, Figure 3)."""
+    return pd.DataFrame({"src": g["src"], "dst": g["dst"], "hval": H.astype(np.int64)})

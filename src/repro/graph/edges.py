@@ -5,7 +5,8 @@ Conventions used across the whole reproduction:
 * ``edges``: columns ``src:long, dst:long, eid:long`` with ``src < dst``,
   self-loops dropped, duplicates (either orientation) collapsed;
   ``eid = src << 32 | dst`` is a collision-free 64-bit edge id (vertex
-  ids must fit in 32 bits — asserted at build time).
+  ids must lie in ``[0, 2**32)`` — checked at build time, since any
+  other id would alias another edge's eid).
 * ``adjacency``: the symmetric closure, columns ``a:long, b:long,
   eid:long`` — one row per direction per edge.
 """
@@ -30,14 +31,19 @@ def edges_df(spark: SparkSession, edges) -> DataFrame:
         raw = edges.select(
             F.col(c0).cast("long").alias("u"), F.col(c1).cast("long").alias("v")
         )
+        lo, hi = raw.select(
+            F.least(F.min("u"), F.min("v")), F.greatest(F.max("u"), F.max("v"))
+        ).first()
+        if lo is not None:
+            _check_range(lo, hi)
     else:
         if isinstance(edges, pd.DataFrame):
             arr = edges.iloc[:, :2].to_numpy()
         else:
             arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         arr = arr.reshape(-1, 2).astype(np.int64)
-        if len(arr) and arr.max() > _MAX_VERTEX:
-            raise ValueError("vertex ids must fit in 32 bits for eid packing")
+        if len(arr):
+            _check_range(arr.min(), arr.max())
         raw = spark.createDataFrame(
             pd.DataFrame({"u": arr[:, 0], "v": arr[:, 1]}),
             schema="u long, v long",  # explicit: inference fails on empty input
@@ -51,6 +57,14 @@ def edges_df(spark: SparkSession, edges) -> DataFrame:
         .distinct()
         .withColumn("eid", F.expr("shiftleft(src, 32) + dst"))
     )
+
+
+def _check_range(lo, hi) -> None:
+    if lo < 0 or hi > _MAX_VERTEX:
+        raise ValueError(
+            f"vertex ids must be non-negative and fit in 32 bits for eid packing; "
+            f"got ids in [{lo}, {hi}]"
+        )
 
 
 def adjacency_df(edges: DataFrame) -> DataFrame:

@@ -1,4 +1,5 @@
 """Tests for the canonical edge / adjacency / degree DataFrames."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -37,6 +38,19 @@ class TestEdgesDf:
     def test_rejects_oversized_vertices(self, sparkf):
         with pytest.raises(ValueError, match="32 bits"):
             edges_df(sparkf, [(0, 1 << 33)])
+
+    def test_rejects_negative_vertices(self, sparkf):
+        """(-2, -1) and (-3, 2**32 - 1) would both pack to eid -8589934593."""
+        with pytest.raises(ValueError, match="non-negative"):
+            edges_df(sparkf, np.array([(-2, -1), (-3, (1 << 32) - 1)]))
+
+    def test_spark_input_is_range_checked(self, sparkf):
+        """(0, 2**32 + 5) and (1, 5) would both pack to eid 4294967301."""
+        raw = sparkf.createDataFrame(
+            pd.DataFrame({"x": [0, 1], "y": [(1 << 32) + 5, 5]})
+        )
+        with pytest.raises(ValueError, match="32 bits"):
+            edges_df(sparkf, raw)
 
 
 class TestAdjacencyDf:

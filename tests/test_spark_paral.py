@@ -4,10 +4,16 @@ Every variant must produce exactly the peeling trussness (Theorem 2);
 traces must be monotone (Theorem 1); Asyn must not need more sweeps than
 Paral (§4.3); results are also pushed through the DuckDB oracle.
 """
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
-from repro.core.paral import parallel_decompose
+from repro.core.paral import SweepLimitExceeded, parallel_decompose
 from repro.oracle import assert_equivalent
 from repro.pyref import all_h_supports, decompose_peeling, serial_hindex_decompose
 
@@ -45,6 +51,21 @@ class TestParalCorrectness:
         res = parallel_decompose(sparkf, [], 2)
         assert res.trussness.count() == 0
         assert res.sweeps == 0
+
+    @pytest.mark.parametrize(
+        "edges, h",
+        [
+            (SMALL_GRAPHS["two_triangles"] + [(20, 21)], 2),
+            (SMALL_GRAPHS["cycle6"], 3),
+            (SMALL_GRAPHS["wheel5"], 4),
+        ],
+        ids=["disconnected", "h_equals_diameter", "h_above_diameter"],
+    )
+    def test_disconnected_and_h_at_least_diameter(self, sparkf, edges, h):
+        res = parallel_decompose(sparkf, edges, h, parallelism=3)
+        truss, sweeps = serial_hindex_decompose(edges, h)
+        assert _as_dict(res.trussness) == decompose_peeling(edges, h) == truss
+        assert res.sweeps == sweeps
 
     def test_zero_support_edges_get_trussness_2(self, sparkf):
         res = parallel_decompose(sparkf, SMALL_GRAPHS["single_edge"], 2, parallelism=2)
@@ -141,3 +162,52 @@ class TestSweepsAndTrace:
     def test_last_two_trace_frames_equal(self, toy_paral):
         a, b = toy_paral.trace[-2], toy_paral.trace[-1]
         assert a.equals(b)
+
+
+class TestFailures:
+    def test_sweep_limit_carries_partial_state(self, sparkf, toy_paral):
+        with pytest.raises(SweepLimitExceeded) as info:
+            parallel_decompose(sparkf, SMALL_GRAPHS["toy"], 2, parallelism=4, max_sweeps=1)
+        assert isinstance(info.value, RuntimeError)
+        assert info.value.sweeps == 1
+        assert info.value.state.equals(toy_paral.trace[1])
+
+    def test_no_cached_state_leaks(self, sparkf):
+        persistent = sparkf.sparkContext._jsc.getPersistentRDDs
+        before = persistent().size()
+        parallel_decompose(sparkf, SMALL_GRAPHS["toy"], 2, parallelism=2)
+        assert persistent().size() == before
+        with pytest.raises(SweepLimitExceeded):
+            parallel_decompose(sparkf, SMALL_GRAPHS["toy"], 2, parallelism=2, max_sweeps=1)
+        assert persistent().size() == before
+
+    def test_workers_need_not_import_repro(self):
+        """A driver that put ``src/`` on its own ``sys.path`` only: the
+        Python workers it starts cannot import ``repro``."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {str(src)!r})
+            from pyspark.sql import SparkSession
+            from repro.core import decompose
+            from repro.graphgen import toy_edges
+
+            spark = (
+                SparkSession.builder.master("local[2]")
+                .config("spark.driver.memory", "1g")
+                .config("spark.driver.host", "127.0.0.1")
+                .config("spark.ui.enabled", "false")
+                .getOrCreate()
+            )
+            try:
+                res = decompose(spark, toy_edges(), 2, parallelism=2)
+                print(res.sweeps, res.trussness.count())
+            finally:
+                spark.stop()
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONPATH", "PYSPARK_SUBMIT_ARGS")}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr[-3000:]
+        assert run.stdout.split()[-2:] == ["4", "20"]
